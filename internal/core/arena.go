@@ -53,18 +53,22 @@ func (c *chunk[T]) take(n int) []T {
 
 func (c *chunk[T]) reset() { c.buf = c.buf[:0] }
 
-// planKey identifies one memoized operand-routing search: the partial's
-// occupancy epoch, the value to deliver, the consumer (tile, cycle), and
-// the overlay shape under which the search ran.
-type planKey struct {
-	epoch uint32
-	v     cdfg.NodeID
-	tc    arch.TileID
-	cc    int32
-	flags uint8
+// memoKey packs one memoized operand-routing search into a word: the
+// partial's occupancy epoch, the value to deliver, the consumer (tile,
+// cycle), and the overlay shape under which the search ran, laid out as
+// epoch<<32 | node<<20 | tile<<14 | cycle<<2 | flags. A uint64 key takes
+// the runtime's fast integer map path; hashing the padded struct key it
+// replaced (aeshashbody) took ~9% of the CPU of a `cgrabench -fig 7` run.
+// ok is false when a field does not fit its bits; such searches bypass
+// the memo.
+func memoKey(epoch uint32, v cdfg.NodeID, tc arch.TileID, cc int, flags uint8) (key uint64, ok bool) {
+	if uint(v) >= 1<<12 || uint(tc) >= 1<<6 || uint(cc) >= 1<<12 || flags >= 1<<2 {
+		return 0, false
+	}
+	return uint64(epoch)<<32 | uint64(v)<<20 | uint64(tc)<<14 | uint64(cc)<<2 | uint64(flags), true
 }
 
-// Overlay-shape flags for planKey. A routing search only ever runs under
+// Overlay-shape flags for memoKey. A routing search only ever runs under
 // a nil overlay (finalize writebacks) or an overlay holding nothing but
 // the consumer's own claim (first operand of a candidate); sibling-plan
 // effects make later operands uncacheable.
@@ -95,9 +99,11 @@ type mapperArena struct {
 	budget   []int
 	soft     []int
 
-	// Block-level scratch.
-	cands    []candidate
-	candIdx  []int32
+	// Block-level scratch. stream is the single in-flight candidate stream
+	// (one bind step at a time; the exact search drains it before it
+	// recurses) and batch the indices it hands to the realize loop.
+	stream   candStream
+	batch    []int32
 	children []*partial
 	weights  []float64
 	order    []cdfg.NodeID
@@ -132,7 +138,7 @@ type mapperArena struct {
 	// value limit, so storing it by value would heap-allocate every
 	// insert. The chunk and the map are cleared together in bindReset.
 	// memoHits is observable by white-box tests.
-	memo     map[planKey]*planMemo
+	memo     map[uint64]*planMemo
 	memoVals chunk[planMemo]
 	memoHits int
 
@@ -146,7 +152,7 @@ type mapperArena struct {
 }
 
 func newMapperArena() *mapperArena {
-	return &mapperArena{memo: map[planKey]*planMemo{}}
+	return &mapperArena{memo: map[uint64]*planMemo{}}
 }
 
 var arenaPool = sync.Pool{New: func() any { return newMapperArena() }}

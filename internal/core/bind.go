@@ -35,36 +35,16 @@ type argPlan struct {
 	Pin  *pinStep
 }
 
-// candidate is one feasible binding of a node under a specific partial.
-// partialsByCost and candsByCost are concrete sort.Interface adapters:
-// both sorts sit on the binder's hot path, where the reflection-based
-// sort.SliceStable swapper showed up in profiles.
+// partialsByCost is a concrete sort.Interface adapter: the beam sort sits
+// on the binder's hot path, where the reflection-based sort.SliceStable
+// swapper showed up in profiles.
 type partialsByCost []*partial
 
 func (s partialsByCost) Len() int           { return len(s) }
 func (s partialsByCost) Less(i, j int) bool { return s[i].cost < s[j].cost }
 func (s partialsByCost) Swap(i, j int)      { s[i], s[j] = s[j], s[i] }
 
-// candsByCost sorts an index permutation instead of the ~64-byte candidate
-// structs themselves (the struct swaps dominated the sort in profiles).
-// The index tie-break makes the comparison a total order, so the plain
-// (unstable) sort yields exactly the permutation sort.Stable produced.
-type candsByCost struct {
-	cands []candidate
-	idx   []int32
-}
-
-func (s candsByCost) Len() int { return len(s.idx) }
-func (s candsByCost) Less(i, j int) bool {
-	a, b := &s.cands[s.idx[i]], &s.cands[s.idx[j]]
-	ca, cb := a.parent.cost+a.cost, b.parent.cost+b.cost
-	if ca != cb {
-		return ca < cb
-	}
-	return s.idx[i] < s.idx[j]
-}
-func (s candsByCost) Swap(i, j int) { s.idx[i], s.idx[j] = s.idx[j], s.idx[i] }
-
+// candidate is one feasible binding of a node under a specific partial.
 type candidate struct {
 	parent *partial
 	node   cdfg.NodeID
@@ -261,42 +241,6 @@ func (cx *bbCtx) cabBlacklist(p *partial) uint32 {
 	return mask
 }
 
-// genCandidates enumerates feasible bindings of node n under partial p
-// within [earliest, earliest+window]. With tail set, the window is
-// anchored at the end of the partial's current schedule, where slots are
-// free on every tile — the last-resort reroute region.
-func (cx *bbCtx) genCandidates(p *partial, n cdfg.NodeID, window int, tail bool, out []candidate) []candidate {
-	nd := cx.block.Nodes[n]
-	blacklist := cx.cabBlacklist(p)
-	earliest := cx.earliestCycle(p, n)
-	if tail && p.maxCycle > earliest {
-		earliest = p.maxCycle
-	}
-	produces := nd.Op.HasResult()
-	for cc := earliest; cc <= earliest+window; cc++ {
-		for t := 0; t < cx.grid.NumTiles(); t++ {
-			tid := arch.TileID(t)
-			if blacklist&(1<<uint(t)) != 0 {
-				continue
-			}
-			if nd.Op.IsMem() && !cx.grid.Tile(tid).HasLSU {
-				continue
-			}
-			if !cx.free(p, nil, tid, cc) {
-				continue
-			}
-			if produces && !cx.canProduce(p, nil, tid, cc) {
-				continue
-			}
-			out = append(out, candidate{})
-			if !cx.planCandidate(p, n, tid, cc, blacklist, &out[len(out)-1]) {
-				out = out[:len(out)-1]
-			}
-		}
-	}
-	return out
-}
-
 // planCandidate plans the routing of every operand of n to (t, cc),
 // filling *cand. On false the candidate is unusable and must be dropped.
 func (cx *bbCtx) planCandidate(p *partial, n cdfg.NodeID, t arch.TileID, cc int, blacklist uint32, cand *candidate) bool {
@@ -373,25 +317,24 @@ func (cx *bbCtx) planCandidate(p *partial, n cdfg.NodeID, t arch.TileID, cc int,
 		}
 		cand.cost += ap.Plan.Cost
 	}
-	if grow := cc + 1 - p.maxCycle; grow > 0 {
-		cand.cost += costCycle * float64(grow)
-	}
+	// The routing-independent terms come from the helpers costBound shares
+	// (stream.go), so the stream's lower bound stays admissible bit for bit.
+	cand.cost += growTerm(p, cc)
 	// A multi-consumer value placed where no register can be allocated
 	// risks dying once the output register is clobbered; steer away.
 	if nd.Op.HasResult() && cx.wantsWriteback(n) && !cx.regAvailableAt(p, o, t, cc) {
-		cand.cost += 3.0
+		cand.cost += wbRiskCost
 	}
 	// Energy-aware placement: each instruction on a tile costs one
 	// context fetch per execution, quadratic in the tile's CM depth.
 	if cx.opt.EnergyAware {
 		for _, tt := range cx.affectedTiles(cand, t) {
-			cm := float64(cx.grid.Tile(tt).CMWords)
-			cand.cost += cx.opt.EnergyWeight * cm * cm / 4096
+			cand.cost += cx.energyTerm(tt)
 		}
 	}
 	// Mild load-balance pressure: hot tiles should not absorb everything
 	// (the latency-driven spreading of the basic binder).
-	cand.cost += 0.015 * float64(p.tiles[t].Ops+p.tiles[t].Moves)
+	cand.cost += loadTerm(&p.tiles[t])
 	// Constraint-aware binding steers away from tiles whose context
 	// memory is filling up, before the hard pruning filters have to
 	// reject, and prefers placements that do not fragment the schedule
@@ -399,24 +342,9 @@ func (cx *bbCtx) planCandidate(p *partial, n cdfg.NodeID, t arch.TileID, cc int,
 	// like the basic flow and rely on pruning alone, which is what
 	// separates the paper's Figs 6-8.
 	if cx.cab {
-		gapDelta := p.tiles[t].wordsIfOccupied(cc, p.maxCycle) -
-			p.words(t, p.maxCycle, false) - 1
-		if gapDelta > 0 {
-			cand.cost += 0.4 * float64(gapDelta)
-		}
+		cand.cost += gapTerm(p, t, cc)
 		for _, tt := range cx.affectedTiles(cand, t) {
-			if cx.soft[tt] >= unconstrained {
-				continue
-			}
-			soft := cx.soft[tt]
-			if soft < 1 {
-				soft = 1
-			}
-			proj := float64(p.words(tt, p.maxCycle, false) + 1)
-			frac := proj / float64(soft)
-			if frac > 0.5 {
-				cand.cost += 6 * (frac - 0.5)
-			}
+			cand.cost += cx.pressureTerm(p, tt)
 		}
 	}
 	return true
@@ -824,71 +752,93 @@ func stochasticPrune(parts []*partial, beam int, detFrac float64, rng *rand.Rand
 // block, returning finalized partials (already filtered by the flow's
 // memory constraints). The caller commits the best one.
 func (cx *bbCtx) mapBlock(init *partial, rng *rand.Rand, st *Stats) ([]*partial, error) {
-	ar := cx.arena
 	tSched := time.Now()
 	order := cx.scheduleOrder()
 	st.Phases.Schedule += time.Since(tSched)
 	beam := []*partial{init}
-	cands := ar.cands[:0]
-	defer func() { ar.cands = cands[:0] }()
-	for oi, n := range order {
-		// New bind step: the route memo and the plan chunks from the
-		// previous node are dead (children copied what they keep).
-		st.MemoEvictions += len(ar.memo)
-		st.MemoResets++
-		ar.bindReset()
-		window := cx.opt.SlackWindow
-		cands = cands[:0]
-		tail := false
-		tRoute := time.Now()
-		for {
-			for _, p := range beam {
-				cands = cx.genCandidates(p, n, window, tail, cands)
+	for oi := range order {
+		var err error
+		if beam, err = cx.bindStep(beam, order, oi, rng, st); err != nil {
+			return nil, err
+		}
+	}
+	return cx.finalizeBeam(beam, st)
+}
+
+// bindStep binds order[oi] under every partial of the beam and returns the
+// pruned next beam; the old beam is recycled.
+func (cx *bbCtx) bindStep(beam []*partial, order []cdfg.NodeID, oi int, rng *rand.Rand, st *Stats) ([]*partial, error) {
+	ar := cx.arena
+	n := order[oi]
+	// New bind step: the route memo and the plan chunks from the
+	// previous node are dead (children copied what they keep).
+	st.MemoEvictions += len(ar.memo)
+	st.MemoResets++
+	ar.bindReset()
+	window := cx.opt.SlackWindow
+	tail := false
+	tRoute := time.Now()
+	cs := cx.openStream(n)
+	for {
+		for _, p := range beam {
+			cs.addSites(p, window, tail)
+		}
+		if cs.more() {
+			break
+		}
+		if window >= cx.opt.MaxSlack {
+			if !tail {
+				// Last resort: bind past the current makespan, where
+				// every tile has free slots (the reroute region).
+				tail = true
+				window = cx.opt.SlackWindow
+				st.Retries++
+				cs.reset()
+				continue
 			}
-			if len(cands) > 0 {
+			return nil, fmt.Errorf("core: no binding for node n%d (%s) in block %q under flow %s\n%s",
+				n, cx.block.Nodes[n].Op, cx.block.Name, cx.opt.Flow, cx.diagnose(beam[0], n))
+		}
+		window *= 2
+		if window > cx.opt.MaxSlack {
+			window = cx.opt.MaxSlack
+		}
+		st.Retries++
+		cs.reset()
+	}
+	st.Phases.Route += time.Since(tRoute)
+	// Realize candidates best-first until enough children survive the
+	// memory filters (the cap bounds survivors, so a run of filtered
+	// placements does not exhaust the binder's patience). The stream
+	// hands them over in batches of the children still missing, so the
+	// phase clocks tick per batch, not per candidate.
+	limit := cx.opt.CandidateCap
+	children := ar.children[:0]
+	acPruned, ecPruned := 0, 0
+	unbound := order[oi+1:]
+	var sampleViol []string
+	var first *partial // parent of the cheapest candidate, for the report
+	for len(children) < limit {
+		tR := time.Now()
+		batch := ar.batch[:0]
+		for len(batch) < limit-len(children) {
+			ci := cs.next()
+			if ci < 0 {
 				break
 			}
-			if window >= cx.opt.MaxSlack {
-				if !tail {
-					// Last resort: bind past the current makespan, where
-					// every tile has free slots (the reroute region).
-					tail = true
-					window = cx.opt.SlackWindow
-					st.Retries++
-					continue
-				}
-				return nil, fmt.Errorf("core: no binding for node n%d (%s) in block %q under flow %s\n%s",
-					n, cx.block.Nodes[n].Op, cx.block.Name, cx.opt.Flow, cx.diagnose(beam[0], n))
-			}
-			window *= 2
-			if window > cx.opt.MaxSlack {
-				window = cx.opt.MaxSlack
-			}
-			st.Retries++
+			batch = append(batch, ci)
 		}
-		st.Phases.Route += time.Since(tRoute)
-		// The exact binder can enumerate hundreds of placements; rank by
-		// accumulated cost and realize only the most promising.
-		tBind := time.Now()
-		perm := ar.candIdx[:0]
-		for i := range cands {
-			perm = append(perm, int32(i))
+		ar.batch = batch
+		st.Phases.Route += time.Since(tR)
+		if len(batch) == 0 {
+			break
 		}
-		ar.candIdx = perm
-		sort.Sort(candsByCost{cands: cands, idx: perm})
-		// Realize candidates best-first until enough children survive the
-		// memory filters (the cap bounds survivors, so a run of filtered
-		// placements does not exhaust the binder's patience).
-		limit := cx.opt.CandidateCap
-		children := ar.children[:0]
-		acPruned, ecPruned := 0, 0
-		unbound := order[oi+1:]
-		var sampleViol []string
-		for _, ci := range perm {
-			if len(children) >= limit {
-				break
-			}
-			child := cx.apply(&cands[ci], st)
+		tB := time.Now()
+		if first == nil {
+			first = cs.cands[batch[0]].parent
+		}
+		for _, ci := range batch {
+			child := cx.apply(&cs.cands[ci], st)
 			st.Partials++
 			if cx.opt.Flow >= FlowACMAP && !cx.acmapOK(child, true) {
 				acPruned++
@@ -914,23 +864,30 @@ func (cx *bbCtx) mapBlock(init *partial, rng *rand.Rand, st *Stats) ([]*partial,
 			}
 			children = append(children, child)
 		}
-		ar.children = children[:0]
-		st.PrunedACMAP += acPruned
-		st.PrunedECMAP += ecPruned
-		st.Phases.Bind += time.Since(tBind)
-		if len(children) == 0 {
-			return nil, fmt.Errorf("core: all %d bindings of node n%d in block %q violate memory constraints (flow %s) %v\n%s",
-				len(cands), n, cx.block.Name, cx.opt.Flow, sampleViol, cx.memReport(cands[perm[0]].parent))
-		}
-		tPrune := time.Now()
-		newBeam := stochasticPrune(children, cx.opt.BeamWidth, cx.opt.DetFraction, rng, st, ar)
-		// The old beam (the children's parents) is fully superseded.
-		for _, p := range beam {
-			ar.putPartial(p)
-		}
-		beam = newBeam
-		st.Phases.Prune += time.Since(tPrune)
+		st.Phases.Bind += time.Since(tB)
 	}
+	ar.children = children[:0]
+	st.PrunedACMAP += acPruned
+	st.PrunedECMAP += ecPruned
+	if len(children) == 0 {
+		// No child survived, so the stream was drained: cs.cands holds
+		// every feasible binding, as the eager binder's list did.
+		return nil, fmt.Errorf("core: all %d bindings of node n%d in block %q violate memory constraints (flow %s) %v\n%s",
+			len(cs.cands), n, cx.block.Name, cx.opt.Flow, sampleViol, cx.memReport(first))
+	}
+	tPrune := time.Now()
+	newBeam := stochasticPrune(children, cx.opt.BeamWidth, cx.opt.DetFraction, rng, st, ar)
+	// The old beam (the children's parents) is fully superseded.
+	for _, p := range beam {
+		ar.putPartial(p)
+	}
+	st.Phases.Prune += time.Since(tPrune)
+	return newBeam, nil
+}
+
+// finalizeBeam runs the block's finalization over the final beam.
+func (cx *bbCtx) finalizeBeam(beam []*partial, st *Stats) ([]*partial, error) {
+	ar := cx.arena
 	tFin := time.Now()
 	// Finalize: symbol writebacks and pnop accounting. The ECMAP and CAB
 	// flows verify the finalized block exactly; the ACMAP-only flow keeps

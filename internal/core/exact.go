@@ -253,37 +253,8 @@ func (s *exactSearch) searchBlock(bi int, acc *exactAcc) bool {
 	block := s.g.Blocks[s.order[bi]]
 	n := s.numTiles
 	reserve := len(s.order) - bi - 1
-	cx := &bbCtx{
-		grid:     s.grid,
-		block:    block,
-		opt:      s.opt,
-		arena:    s.ar,
-		budget:   make([]int, n),
-		soft:     make([]int, n),
-		sched:    cdfg.Analyze(block),
-		users:    cdfg.Users(block),
-		symHomes: acc.symHomes,
-		cab:      s.opt.Flow >= FlowCAB,
-		stats:    s.mst,
-		hopsBuf:  make([]arch.TileID, 0, s.grid.Rows+s.grid.Cols+2),
-	}
-	cx.liveOutValues = map[cdfg.NodeID]bool{}
-	for _, id := range block.LiveOut {
-		cx.liveOutValues[id] = true
-	}
-	homesOn := make([]int, n)
-	for _, h := range acc.symHomes {
-		homesOn[h.Tile] += 2
-	}
-	for t := range cx.budget {
-		if s.opt.Flow.memoryAware() {
-			cx.budget[t] = s.grid.Tile(arch.TileID(t)).CMWords - acc.used[t] - reserve
-			cx.soft[t] = cx.budget[t] - homesOn[t]
-		} else {
-			cx.budget[t] = unconstrained
-			cx.soft[t] = unconstrained
-		}
-	}
+	cx := newBlockCtx(s.grid, block, s.opt, s.ar, s.mst, acc.symHomes, acc.used, reserve,
+		make([]int, n), make([]int, n), make([]int, n))
 	// nil arena: the order must survive the whole subtree, not just until
 	// the next mapBlock on this arena.
 	order := scheduleOrderInto(block, cx.sched, cx.users, nil)
@@ -365,29 +336,26 @@ func (s *exactSearch) dfs(cx *bbCtx, bi int, acc *exactAcc, order []cdfg.NodeID,
 	s.st.Expanded++
 
 	n := order[oi]
-	// New bind step: plan chunks and the route memo reset together. Every
-	// candidate must be realized into a self-contained child before any
-	// recursion, which resets the chunks again.
+	// New bind step: plan chunks and the route memo reset together.
 	s.ar.bindReset()
-	cands := cx.genCandidates(p, n, s.opt.MaxSlack, false, s.ar.cands[:0])
-	if len(cands) == 0 {
+	cs := cx.openStream(n)
+	cs.addSites(p, s.opt.MaxSlack, false)
+	if !cs.more() {
 		// Last-resort reroute region past the current makespan, exactly
 		// like the heuristic's tail escalation.
-		cands = cx.genCandidates(p, n, s.opt.MaxSlack, true, cands)
+		cs.reset()
+		cs.addSites(p, s.opt.MaxSlack, true)
 	}
-	perm := s.ar.candIdx[:0]
-	for i := range cands {
-		perm = append(perm, int32(i))
-	}
-	sort.Sort(candsByCost{cands: cands, idx: perm})
-
-	children := make([]*partial, 0, len(cands))
-	for _, ci := range perm {
+	// Realize every candidate into a self-contained child before any
+	// recursion: the stream and its chunk-backed plans are shared by every
+	// dfs level, and the next bind step resets them.
+	var children []*partial
+	for ci := cs.next(); ci >= 0; ci = cs.next() {
 		if s.budget <= 0 {
 			s.stopped = true
 			break
 		}
-		child := cx.apply(&cands[ci], s.mst)
+		child := cx.apply(&cs.cands[ci], s.mst)
 		s.budget--
 		s.mst.Partials++
 		if !s.childFits(cx, child) {
@@ -397,10 +365,6 @@ func (s *exactSearch) dfs(cx *bbCtx, bi int, acc *exactAcc, order []cdfg.NodeID,
 		}
 		children = append(children, child)
 	}
-	// The candidates (and their chunk-backed plans) are dead: release the
-	// shared buffers so deeper dfs levels can reuse them.
-	s.ar.cands = cands[:0]
-	s.ar.candIdx = perm[:0]
 
 	complete := !s.stopped
 	for _, child := range children {

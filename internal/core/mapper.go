@@ -114,47 +114,8 @@ func Map(g *cdfg.Graph, grid *arch.Grid, opt Options) (*Mapping, error) {
 		// pnop) on every tile; the memory-aware flows reserve that floor
 		// so early blocks cannot consume the entire context memory.
 		reserve := len(order) - oi - 1
-		cx := &bbCtx{
-			grid:     grid,
-			block:    block,
-			opt:      &opt,
-			arena:    ar,
-			budget:   intsBuf(ar.budget, n),
-			sched:    cdfg.Analyze(block),
-			users:    cdfg.Users(block),
-			symHomes: m.SymHomes,
-			cab:      opt.Flow >= FlowCAB,
-			stats:    &m.Stats,
-			// Longest route a chain can take is bounded by the two-leg
-			// corner path, so hops never outgrow this and planChain can
-			// skip the capacity write-back.
-			hopsBuf: make([]arch.TileID, 0, grid.Rows+grid.Cols+2),
-		}
-		ar.budget = cx.budget
-		cx.liveOutValues = map[cdfg.NodeID]bool{}
-		for _, id := range block.LiveOut {
-			cx.liveOutValues[id] = true
-		}
-		// Tiles hosting symbol homes receive writeback and read-out moves
-		// in later blocks; the soft budget (used for placement pressure
-		// and home-pinning eligibility, not for the hard pruning filters)
-		// additionally reserves two words per home.
-		homesOn := intsBuf(ar.homesOn, n)
-		ar.homesOn = homesOn
-		for _, h := range m.SymHomes {
-			homesOn[h.Tile] += 2
-		}
-		cx.soft = intsBuf(ar.soft, n)
-		ar.soft = cx.soft
-		for t := range cx.budget {
-			if opt.Flow.memoryAware() {
-				cx.budget[t] = grid.Tile(arch.TileID(t)).CMWords - used[t] - reserve
-				cx.soft[t] = cx.budget[t] - homesOn[t]
-			} else {
-				cx.budget[t] = unconstrained
-				cx.soft[t] = unconstrained
-			}
-		}
+		ar.budget, ar.soft, ar.homesOn = intsBuf(ar.budget, n), intsBuf(ar.soft, n), intsBuf(ar.homesOn, n)
+		cx := newBlockCtx(grid, block, &opt, ar, &m.Stats, m.SymHomes, used, reserve, ar.budget, ar.soft, ar.homesOn)
 
 		// The exact flows retry a cornered block with a wider beam and
 		// deeper candidate list: the stochastic pruning then explores a
@@ -237,6 +198,54 @@ func Map(g *cdfg.Graph, grid *arch.Grid, opt Options) (*Mapping, error) {
 		}
 	}
 	return m, nil
+}
+
+// newBlockCtx builds the binder context for one block. Under a
+// memory-aware flow, budget[t] is the tile's context memory minus the
+// words committed blocks use (used) and one word per block still to map
+// (reserve); the soft budget steers placement pressure and home pinning
+// but never hard-prunes, and additionally reserves two words per symbol
+// home, for the writeback and read-out moves later blocks send there.
+// budget, soft and homesOn are caller-owned scratch, one entry per tile.
+func newBlockCtx(grid *arch.Grid, block *cdfg.BasicBlock, opt *Options, ar *mapperArena, st *Stats,
+	symHomes map[string]SymLoc, used []int, reserve int, budget, soft, homesOn []int) *bbCtx {
+	cx := &bbCtx{
+		grid:     grid,
+		block:    block,
+		opt:      opt,
+		arena:    ar,
+		budget:   budget,
+		soft:     soft,
+		sched:    cdfg.Analyze(block),
+		users:    cdfg.Users(block),
+		symHomes: symHomes,
+		cab:      opt.Flow >= FlowCAB,
+		stats:    st,
+		// Longest route a chain can take is bounded by the two-leg
+		// corner path, so hops never outgrow this and planChain can
+		// skip the capacity write-back.
+		hopsBuf:       make([]arch.TileID, 0, grid.Rows+grid.Cols+2),
+		liveOutValues: map[cdfg.NodeID]bool{},
+	}
+	for _, id := range block.LiveOut {
+		cx.liveOutValues[id] = true
+	}
+	for i := range homesOn {
+		homesOn[i] = 0
+	}
+	for _, h := range symHomes {
+		homesOn[h.Tile] += 2
+	}
+	for t := range budget {
+		if opt.Flow.memoryAware() {
+			budget[t] = grid.Tile(arch.TileID(t)).CMWords - used[t] - reserve
+			soft[t] = budget[t] - homesOn[t]
+		} else {
+			budget[t] = unconstrained
+			soft[t] = unconstrained
+		}
+	}
+	return cx
 }
 
 // initialPartial builds the block's starting state: symbol homes pinned in

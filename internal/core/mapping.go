@@ -70,9 +70,10 @@ type SymLoc struct {
 }
 
 // PhaseTimes breaks the mapper's wall clock down by binder phase. The
-// phases partition mapBlock: list scheduling, candidate routing (operand
-// route planning across the slack windows), binding (realizing candidates
-// and running the memory filters), stochastic pruning, and finalization
+// phases partition mapBlock: list scheduling, candidate routing (the
+// best-first candidate stream: site enumeration, bounds and operand route
+// planning across the slack windows), binding (realizing candidates and
+// running the memory filters), stochastic pruning, and finalization
 // (symbol writebacks plus the exact fit check).
 type PhaseTimes struct {
 	Schedule time.Duration
@@ -99,6 +100,11 @@ type Stats struct {
 	Retries int
 	// Recomputes counts recompute transformations applied.
 	Recomputes int
+	// Sites counts binding sites (partial × tile × cycle) that passed the
+	// binder's cheap filters; Routed counts the ones the best-first
+	// candidate stream actually routed (see stream.go).
+	Sites  int
+	Routed int
 	// MemoHits/MemoMisses count route-memo lookups (see planOperandMemo);
 	// MemoResets counts bind-step resets and MemoEvictions the entries
 	// those resets discarded.

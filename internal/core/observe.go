@@ -11,6 +11,8 @@ import (
 func recordMapStats(r *obs.Recorder, st *Stats, ar *mapperArena) {
 	r.Counter("core.map.calls").Inc()
 	r.Counter("core.map.partials").Add(int64(st.Partials))
+	r.Counter("core.map.sites").Add(int64(st.Sites))
+	r.Counter("core.map.routed").Add(int64(st.Routed))
 	r.Counter("core.map.retries").Add(int64(st.Retries))
 	r.Counter("core.map.recomputes").Add(int64(st.Recomputes))
 	r.Counter("core.prune.acmap").Add(int64(st.PrunedACMAP))

@@ -78,6 +78,15 @@ func TestMapObsInvariance(t *testing.T) {
 	if got := rec.Counter("core.map.partials").Value(); got != int64(st.Partials) {
 		t.Errorf("core.map.partials = %d, want %d", got, st.Partials)
 	}
+	// The candidate stream routes a subset of the sites the binder's
+	// cheap filters pass; every step routes at least one.
+	routed, sites := rec.Counter("core.map.routed").Value(), rec.Counter("core.map.sites").Value()
+	if routed <= 0 || routed > sites {
+		t.Errorf("core.map.routed = %d, core.map.sites = %d; want 0 < routed <= sites", routed, sites)
+	}
+	if routed != int64(st.Routed) || sites != int64(st.Sites) {
+		t.Errorf("core.map.routed/sites = %d/%d, want %d/%d", routed, sites, st.Routed, st.Sites)
+	}
 	if got := rec.Counter("core.memo.hits").Value(); got != int64(st.MemoHits) {
 		t.Errorf("core.memo.hits = %d, want %d", got, st.MemoHits)
 	}

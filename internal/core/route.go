@@ -17,6 +17,7 @@ const (
 	costNewConst  = 0.05
 	costRecompute = 1.1
 	costCycle     = 0.35 // schedule-length growth per cycle
+	wbRiskCost    = 3.0  // multi-consumer value with no register to keep it
 )
 
 // moveStep is one routing move a plan will insert.
@@ -462,7 +463,10 @@ func (cx *bbCtx) paths(a, b arch.TileID) [][]arch.TileID {
 // after a widened slack window is the memo's main hit source.
 func (cx *bbCtx) planOperandMemo(p *partial, o *overlay, flags uint8, v cdfg.NodeID, tc arch.TileID, cc int, blacklist uint32, out *routePlan) bool {
 	ar := cx.arena
-	key := planKey{epoch: p.epoch, v: v, tc: tc, cc: int32(cc), flags: flags}
+	key, ok := memoKey(p.epoch, v, tc, cc, flags)
+	if !ok {
+		return cx.planOperand(p, o, v, tc, cc, blacklist, out)
+	}
 	if e, hit := ar.memo[key]; hit {
 		ar.memoHits++
 		if cx.stats != nil {
@@ -476,7 +480,7 @@ func (cx *bbCtx) planOperandMemo(p *partial, o *overlay, flags uint8, v cdfg.Nod
 	if cx.stats != nil {
 		cx.stats.MemoMisses++
 	}
-	ok := cx.planOperand(p, o, v, tc, cc, blacklist, out)
+	ok = cx.planOperand(p, o, v, tc, cc, blacklist, out)
 	pms := ar.memoVals.take(1)
 	pms = pms[:1]
 	pm := &pms[0]
@@ -675,10 +679,10 @@ func (cx *bbCtx) planChain(p *partial, o *overlay, l loc, path []arch.TileID, tc
 	return false
 }
 
-// planRecompute duplicates a producer whose operands are all constants on
-// the consumer tile the cycle before consumption.
-func (cx *bbCtx) planRecompute(p *partial, o *overlay, v cdfg.NodeID, tc arch.TileID, cc int, out *routePlan) bool {
-	nd := cx.block.Nodes[v]
+// recomputable reports whether nd is a producer the recompute
+// transformation may duplicate: a computation whose operands are all
+// constants.
+func (cx *bbCtx) recomputable(nd *cdfg.Node) bool {
 	switch nd.Op {
 	case cdfg.OpConst, cdfg.OpSym, cdfg.OpLoad, cdfg.OpStore, cdfg.OpBr:
 		return false
@@ -687,6 +691,16 @@ func (cx *bbCtx) planRecompute(p *partial, o *overlay, v cdfg.NodeID, tc arch.Ti
 		if cx.block.Nodes[a].Op != cdfg.OpConst {
 			return false
 		}
+	}
+	return true
+}
+
+// planRecompute duplicates a producer whose operands are all constants on
+// the consumer tile the cycle before consumption.
+func (cx *bbCtx) planRecompute(p *partial, o *overlay, v cdfg.NodeID, tc arch.TileID, cc int, out *routePlan) bool {
+	nd := cx.block.Nodes[v]
+	if !cx.recomputable(nd) {
+		return false
 	}
 	cyc := cc - 1
 	if cyc < 0 || !cx.free(p, o, tc, cyc) || !cx.canProduce(p, o, tc, cyc) {

@@ -208,42 +208,20 @@ func (t *tileState) gapGroups(horizon int, trailing bool) int {
 	return n
 }
 
-// wordsIfOccupied counts the tile's words (interior accounting) as if
-// cycle c additionally held an instruction — used to price the pnop
-// fragmentation a placement would cause.
-func (t *tileState) wordsIfOccupied(c, horizon int) int {
-	limit := len(t.Slots)
-	if c+1 > limit {
-		limit = c + 1
+// gapDelta is the change in the tile's pnop groups (leading and interior
+// gaps) if the free cycle c additionally held an instruction — used to
+// price the fragmentation a placement causes. A gap group starts at every
+// occupied cycle x >= 1 whose predecessor is empty, so occupying c opens a
+// group when c-1 is empty and closes the one that started at c+1.
+func (t *tileState) gapDelta(c int) int {
+	d := 0
+	if c >= 1 && !t.occupied(c-1) {
+		d++
 	}
-	if horizon > limit {
-		limit = horizon
+	if t.occupied(c + 1) {
+		d--
 	}
-	n := t.Ops + t.Moves + 1
-	gaps := 0
-	prevOcc := -1
-	any := false
-	occ := func(i int) bool {
-		if i == c {
-			return true
-		}
-		return i < len(t.Slots) && t.Slots[i].Kind != SlotEmpty
-	}
-	for i := 0; i < limit; i++ {
-		if !occ(i) {
-			continue
-		}
-		if !any {
-			if i > 0 {
-				gaps++
-			}
-			any = true
-		} else if i > prevOcc+1 {
-			gaps++
-		}
-		prevOcc = i
-	}
-	return n + gaps
+	return d
 }
 
 // partial is one partial mapping of the block being mapped: a point of the

@@ -118,24 +118,28 @@ func TestRegisterRecyclingHazards(t *testing.T) {
 	}
 }
 
-func TestWordsIfOccupied(t *testing.T) {
+func TestGapDelta(t *testing.T) {
 	var ts tileState
 	occupy(&ts, 0, 2) // words: 2 ops + 1 interior gap = 3
-	base := ts.Ops + ts.Moves + ts.gapGroups(3, false)
-	if base != 3 {
+	if base := ts.Ops + ts.Moves + ts.gapGroups(3, false); base != 3 {
 		t.Fatalf("base words = %d", base)
 	}
-	// Filling the gap at 1: 3 ops, 0 gaps -> 3 (no growth).
-	if got := ts.wordsIfOccupied(1, 3); got != 3 {
-		t.Errorf("fill gap: %d, want 3", got)
+	// Filling the gap at 1 closes it.
+	if got := ts.gapDelta(1); got != -1 {
+		t.Errorf("fill gap: %d, want -1", got)
 	}
-	// Appending at 3: 3 ops, 1 gap -> 4.
-	if got := ts.wordsIfOccupied(3, 4); got != 4 {
-		t.Errorf("append: %d, want 4", got)
+	// Appending at 3 adds no gap.
+	if got := ts.gapDelta(3); got != 0 {
+		t.Errorf("append: %d, want 0", got)
 	}
-	// Placing at 5 creates another gap: 3 ops + 2 gaps -> 5.
-	if got := ts.wordsIfOccupied(5, 6); got != 5 {
-		t.Errorf("fragment: %d, want 5", got)
+	// Placing at 5 opens another gap.
+	if got := ts.gapDelta(5); got != 1 {
+		t.Errorf("fragment: %d, want 1", got)
+	}
+	// On an empty tile only a leading gap can open.
+	var empty tileState
+	if empty.gapDelta(0) != 0 || empty.gapDelta(4) != 1 {
+		t.Errorf("empty tile: %d, %d; want 0, 1", empty.gapDelta(0), empty.gapDelta(4))
 	}
 }
 

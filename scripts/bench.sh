@@ -8,6 +8,9 @@
 #                                # without overwriting it; exits 1 when any
 #                                # benchmark regresses past tolerance
 #   scripts/bench.sh -benchtime=100ms   # extra args forwarded to go test
+#   scripts/bench.sh -count=5    # repeat each benchmark; the artifact
+#                                # records the median as ns_per_op (and
+#                                # B/op, allocs/op) plus ns_min/ns_max
 #
 # Compare mode checks all three recorded metrics, each with its own
 # tolerance (time is noisy; allocation counts are nearly deterministic):
@@ -33,31 +36,60 @@ cur="$(mktemp)"
 trap 'rm -f "$raw" "$cur"' EXIT
 
 pattern='BenchmarkCoreMap|BenchmarkCoreMapPortfolio|BenchmarkPortfolioPruned|BenchmarkPortfolioUnpruned|BenchmarkMapCached|BenchmarkSimRun|BenchmarkVerifyRun|BenchmarkOracleCheck|BenchmarkStaticAnalyze|BenchmarkStrip'
-echo "== go test -bench '$pattern' -run NONE . $*"
-go test -bench "$pattern" -benchmem -run NONE . "$@" | tee "$raw"
+# The explicit timeout replaces go test's 10-minute default, which a
+# -count=5 run of the whole suite overshoots; a later -timeout in "$@"
+# still wins.
+echo "== go test -bench '$pattern' -run NONE -timeout 2h . $*"
+go test -bench "$pattern" -benchmem -run NONE -timeout 2h . "$@" | tee "$raw"
 
 # Parse the standard go-bench output lines:
 #   BenchmarkCoreMap/FIR-8  123  9876543 ns/op  456 B/op  7 allocs/op
 # The trailing -N GOMAXPROCS suffix is stripped so the artifact compares
-# across machines with different core counts.
+# across machines with different core counts. With -count=N every
+# benchmark prints N lines; each metric is recorded as the median of its
+# runs (the lower middle one for even N), and ns_min/ns_max keep the
+# spread next to it.
 awk '
-BEGIN { print "{"; print "  \"benchmarks\": [" ; n = 0 }
+# median sorts a space-separated list numerically and returns its middle
+# entry, leaving the extremes in the globals lo and hi.
+function median(list,   v, n, i, j, x) {
+    n = split(list, v, " ")
+    for (i = 2; i <= n; i++) {
+        x = v[i]
+        for (j = i - 1; j >= 1 && v[j] + 0 > x + 0; j--) v[j + 1] = v[j]
+        v[j + 1] = x
+    }
+    lo = v[1]; hi = v[n]
+    return v[int((n + 1) / 2)]
+}
 /^Benchmark/ && /ns\/op/ {
     name = $1; sub(/-[0-9]+$/, "", name)
-    iters = $2; ns = $3
-    bytes = "null"; allocs = "null"
+    if (!(name in runs)) order[++names] = name
+    runs[name]++
+    iters[name] = iters[name] " " $2
+    ns[name] = ns[name] " " $3
+    b = "null"; a = "null"
     for (i = 4; i <= NF; i++) {
-        if ($i == "B/op")      bytes  = $(i-1)
-        if ($i == "allocs/op") allocs = $(i-1)
+        if ($i == "B/op")      b = $(i-1)
+        if ($i == "allocs/op") a = $(i-1)
     }
-    if (n++) printf ",\n"
-    printf "    {\"name\": \"%s\", \"iterations\": %s, \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s}", \
-        name, iters, ns, bytes, allocs
+    bytes[name] = bytes[name] " " b
+    allocs[name] = allocs[name] " " a
 }
 END {
-    if (n) printf "\n"
+    print "{"
+    print "  \"benchmarks\": ["
+    for (k = 1; k <= names; k++) {
+        name = order[k]
+        it = median(iters[name])
+        b = median(bytes[name])
+        a = median(allocs[name])
+        n = median(ns[name]); nmin = lo; nmax = hi
+        printf "    {\"name\": \"%s\", \"runs\": %d, \"iterations\": %s, \"ns_per_op\": %s, \"ns_min\": %s, \"ns_max\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s}%s\n", \
+            name, runs[name], it, n, nmin, nmax, b, a, (k < names ? "," : "")
+    }
     print "  ],"
-    print "  \"count\": " n
+    print "  \"count\": " names
     print "}"
 }' "$raw" > "$cur"
 
