@@ -51,8 +51,7 @@ func main() {
 	gap := flag.Int("gap", 0, "render the heuristic-vs-exact optimality gap table at this exact node budget instead of the evaluation; 0 = off")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "evaluation worker pool size (1 = serial)")
 	batch := flag.Int("batch", 1, "simulate each cell with this many identical input lanes through the batched engine (1 = scalar verified run)")
-	cache := flag.Bool("cache", false, "reuse compiled mappings through the content-addressed mapping cache")
-	cachedir := flag.String("cachedir", "", "on-disk mapping-cache directory (implies -cache; entries are re-verified before use)")
+	cachedir := flag.String("cachedir", "", "reuse compiled mappings through the mapping cache stored in this directory (entries are re-verified before use)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write an allocation profile to this file on exit")
 	metrics := flag.String("metrics", "", "write instrumentation counters as JSONL to this file")
@@ -95,7 +94,7 @@ func main() {
 	r.Workers = *parallel
 	r.Batch = *batch
 	r.Obs = fr.Recorder
-	if *cache || *cachedir != "" {
+	if *cachedir != "" {
 		// The whole evaluation is a few hundred distinct cells; a large
 		// capacity keeps every one resident for the duration of the run.
 		r.Cache = mapcache.New(mapcache.Config{Capacity: 1024, Dir: *cachedir, Obs: fr.Recorder})

@@ -54,7 +54,6 @@ type cliOptions struct {
 	seed     int64
 	seeds    int
 	parallel int
-	cache    bool
 	cachedir string
 	// rec threads the -metrics/-events recorder into the mapper; nil (the
 	// zero value the tests use) disables instrumentation entirely.
@@ -76,8 +75,7 @@ func main() {
 	flag.Int64Var(&o.seed, "seed", 1, "stochastic pruning seed (first seed of a portfolio)")
 	flag.IntVar(&o.seeds, "seeds", 1, "portfolio width: seeds mapped concurrently, best mapping wins")
 	flag.IntVar(&o.parallel, "parallel", 0, "portfolio worker pool size (0 = one per CPU)")
-	flag.BoolVar(&o.cache, "cache", false, "reuse compiled mappings through the content-addressed mapping cache")
-	flag.StringVar(&o.cachedir, "cachedir", "", "on-disk mapping-cache directory (implies -cache; entries are re-verified before use)")
+	flag.StringVar(&o.cachedir, "cachedir", "", "reuse compiled mappings through the mapping cache stored in this directory (entries are re-verified before use)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write an allocation profile to this file on exit")
 	metrics := flag.String("metrics", "", "write instrumentation counters as JSONL to this file")
@@ -194,7 +192,7 @@ func run(w io.Writer, o cliOptions) error {
 	var m *core.Mapping
 	var prog *asm.Program
 	var meta mapcache.Meta
-	if o.cache || o.cachedir != "" {
+	if o.cachedir != "" {
 		backendNames := make([]string, len(backends))
 		for i, b := range backends {
 			backendNames[i] = b.Name()

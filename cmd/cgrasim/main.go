@@ -63,7 +63,6 @@ type cliOptions struct {
 	// many identical input lanes after the verified run, cross-checks every
 	// lane against it, and reports per-input throughput.
 	batch    int
-	cache    bool
 	cachedir string
 	// rec threads the -metrics/-events recorder into the mapper and the
 	// simulator; nil (the zero value the tests use) disables it.
@@ -83,8 +82,7 @@ func main() {
 	flag.IntVar(&o.seeds, "seeds", 1, "portfolio width: seeds mapped concurrently, best mapping wins")
 	flag.IntVar(&o.parallel, "parallel", 0, "portfolio worker pool size (0 = one per CPU)")
 	flag.IntVar(&o.batch, "batch", 1, "also run N identical input lanes through the batched engine and report per-input throughput")
-	flag.BoolVar(&o.cache, "cache", false, "reuse compiled mappings through the content-addressed mapping cache")
-	flag.StringVar(&o.cachedir, "cachedir", "", "on-disk mapping-cache directory (implies -cache; entries are re-verified before use)")
+	flag.StringVar(&o.cachedir, "cachedir", "", "reuse compiled mappings through the mapping cache stored in this directory (entries are re-verified before use)")
 	metrics := flag.String("metrics", "", "write instrumentation counters as JSONL to this file")
 	events := flag.String("events", "", "write a Chrome trace_event timeline to this file")
 	serve := flag.String("serve", "", "serve live telemetry (/metrics, /healthz, /events, /debug/pprof) on this address for the duration of the run (host:port; :0 picks a port, announced on stderr)")
@@ -207,7 +205,7 @@ func run(w io.Writer, o cliOptions) error {
 
 	var prog *asm.Program
 	compileTime := func() time.Duration { return m.Stats.CompileTime }
-	if o.cache || o.cachedir != "" {
+	if o.cachedir != "" {
 		backendNames := make([]string, len(backends))
 		for i, b := range backends {
 			backendNames[i] = b.Name()

@@ -1,10 +1,21 @@
+// Package mapcache implements a content-addressed cache for compiled CGRA
+// mappings: a bounded in-memory LRU over an optional verified on-disk tier
+// (cache.go, disk.go), keyed by sha256 of the graph's own text
+// (cdfg.MarshalText) × mapper options × grid structure × portfolio
+// description. Every entry stores that text and every hit byte-compares it,
+// so a hit is the compile of exactly the requested graph.
+//
+// Determinism rules: nothing in the key may consult wall-clock time, map
+// iteration order, or process-local identities — the detrand/maprange
+// analyzers in internal/lint enforce this package-wide.
 package mapcache
 
 import (
 	"bytes"
 	"container/list"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 
@@ -18,17 +29,15 @@ import (
 // Config tunes a Cache. The zero value is usable: memory-only, default
 // capacity, no instrumentation.
 type Config struct {
-	// Capacity bounds the in-memory entries across all shards (default 128).
+	// Capacity bounds the in-memory entries (default 128).
 	Capacity int
-	// Shards is the lock-striping width (default 8).
-	Shards int
 	// Dir, when non-empty, enables the on-disk tier under that directory.
 	// Disk entries survive processes; every disk hit is re-verified by
 	// internal/verify before use and re-mapped on any mismatch.
 	Dir string
 	// Obs, when non-nil, receives the mapcache.* counters (hit, miss,
-	// coalesced, evict, disk_hit, disk_reject, bypass, ...). A nil recorder
-	// adds zero allocations.
+	// evict, disk_hit, disk_reject, bypass, ...). A nil recorder adds zero
+	// allocations.
 	Obs *obs.Recorder
 }
 
@@ -51,11 +60,12 @@ type Request struct {
 	Objective string
 }
 
-// key renders the full content address: canonical graph hash × sanitized
+// key renders the full content address: graph text hash × sanitized
 // mapper options × structural grid fingerprint × portfolio description.
-func (r *Request) key(c *Canon) string {
+func (r *Request) key(text []byte) string {
+	sum := sha256.Sum256(text)
 	var b strings.Builder
-	b.WriteString(c.HashHex())
+	b.WriteString(hex.EncodeToString(sum[:]))
 	b.WriteByte('|')
 	b.WriteString(r.Opt.Fingerprint())
 	b.WriteByte('|')
@@ -72,6 +82,19 @@ func (r *Request) key(c *Canon) string {
 	b.WriteString("|objective=")
 	b.WriteString(r.Objective)
 	return b.String()
+}
+
+// keyText renders the graph a request is keyed on, or reports that the
+// request cannot be keyed soundly: a profiled Opt (a flat fingerprint
+// cannot key a profile) or a graph too malformed to render (nil, no
+// blocks, entry out of range). Such requests bypass the cache.
+func (r *Request) keyText() ([]byte, bool) {
+	g := r.Graph
+	if r.Opt.Profile != nil || g == nil || len(g.Blocks) == 0 || g.Entry < 0 || int(g.Entry) >= len(g.Blocks) {
+		return nil, false
+	}
+	text, err := g.MarshalText()
+	return text, err == nil
 }
 
 // Computed is what a compute callback returns: the freshly mapped result.
@@ -98,9 +121,8 @@ type Meta struct {
 	Backend   string
 }
 
-// Result is a cache response. Program is rebuilt for the caller's graph
-// (cached images are stored in canonical block order and permuted back),
-// and Image is its serialized form in the caller's block order.
+// Result is a cache response. Program is rebuilt against the caller's
+// graph and Image is its serialized form.
 type Result struct {
 	Program *asm.Program
 	Image   []byte
@@ -112,30 +134,20 @@ type Result struct {
 }
 
 type entry struct {
-	key       string
-	canonText []byte
-	image     []byte // canonical block order
-	meta      Meta
+	key   string
+	text  []byte // the graph's MarshalText, byte-compared on every hit
+	image []byte
+	meta  Meta
 }
 
-type flight struct {
-	done chan struct{}
-}
-
-type shard struct {
-	mu       sync.Mutex
-	entries  map[string]*list.Element // values are *entry
-	lru      list.List                // front = most recently used
-	inflight map[string]*flight
-}
-
-// Cache is a two-tier content-addressed store of compiled mappings: a
-// sharded in-memory LRU with singleflight deduplication of concurrent
-// identical submissions, over an optional verified on-disk tier.
+// Cache is a two-tier content-addressed store of compiled mappings: an
+// in-memory LRU under one lock over an optional verified on-disk tier.
+// Concurrent identical misses each compute and store the same entry.
 type Cache struct {
-	cfg      Config
-	perShard int
-	shards   []shard
+	cfg     Config
+	mu      sync.Mutex
+	entries map[string]*list.Element // values are *entry
+	lru     list.List                // front = most recently used
 }
 
 // New builds a Cache from cfg (see Config for the zero-value defaults).
@@ -143,120 +155,61 @@ func New(cfg Config) *Cache {
 	if cfg.Capacity <= 0 {
 		cfg.Capacity = 128
 	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = 8
-	}
-	if cfg.Shards > cfg.Capacity {
-		cfg.Shards = cfg.Capacity
-	}
-	c := &Cache{
-		cfg:      cfg,
-		perShard: (cfg.Capacity + cfg.Shards - 1) / cfg.Shards,
-		shards:   make([]shard, cfg.Shards),
-	}
-	for i := range c.shards {
-		c.shards[i].entries = make(map[string]*list.Element)
-		c.shards[i].inflight = make(map[string]*flight)
-	}
-	return c
+	return &Cache{cfg: cfg, entries: make(map[string]*list.Element)}
 }
 
 // Len returns the in-memory entry count.
 func (c *Cache) Len() int {
-	n := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		n += len(s.entries)
-		s.mu.Unlock()
-	}
-	return n
-}
-
-func (c *Cache) shardOf(key string) *shard {
-	return &c.shards[uint64(fnvOffset.str(key))%uint64(len(c.shards))]
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.entries)
 }
 
 // GetOrStore returns the cached result for req, computing and storing it
-// via compute on a miss. Concurrent identical requests are coalesced: one
-// caller computes, the rest wait and share the stored entry. Requests the
-// cache cannot key soundly (a profiled Opt, or a graph the canonicalizer
-// rejects) bypass both tiers and compute directly.
+// via compute on a miss. Requests the cache cannot key soundly (see
+// keyText) bypass both tiers and compute directly.
 func (c *Cache) GetOrStore(req Request, compute func() (Computed, error)) (Result, error) {
 	rec := c.cfg.Obs
-	if req.Opt.Profile != nil {
+	text, ok := req.keyText()
+	if !ok {
 		rec.Counter("mapcache.bypass").Inc()
 		return c.computeOnly(compute)
 	}
-	canon, err := Canonicalize(req.Graph)
-	if err != nil {
-		rec.Counter("mapcache.bypass").Inc()
-		return c.computeOnly(compute)
-	}
-	key := req.key(canon)
-	sh := c.shardOf(key)
+	key := req.key(text)
 
-	for {
-		sh.mu.Lock()
-		if el, ok := sh.entries[key]; ok {
-			e := el.Value.(*entry)
-			if bytes.Equal(e.canonText, canon.Text) {
-				sh.lru.MoveToFront(el)
-				sh.mu.Unlock()
-				res, err := c.materialize(e, &req, canon, "memory")
-				if err == nil {
-					rec.Counter("mapcache.hit").Inc()
-					return res, nil
-				}
-				// A stored entry that cannot be rebuilt for this caller is
-				// poison; drop it and fall through to compute.
-				c.remove(sh, key)
-				rec.Counter("mapcache.reject").Inc()
-			} else {
-				// Same 256-bit key, different canonical text: a hash
-				// collision. Correctness never rests on collision-freedom —
-				// the entry simply does not match, so recompute.
-				sh.mu.Unlock()
-				rec.Counter("mapcache.reject").Inc()
+	c.mu.Lock()
+	var e *entry
+	if el, ok := c.entries[key]; ok {
+		e = el.Value.(*entry)
+		c.lru.MoveToFront(el)
+	}
+	c.mu.Unlock()
+	if e != nil {
+		// A different text under the same 256-bit key is a hash collision;
+		// correctness never rests on collision-freedom, so it recomputes.
+		if bytes.Equal(e.text, text) {
+			res, err := c.materialize(e, &req, "memory")
+			if err == nil {
+				rec.Counter("mapcache.hit").Inc()
+				return res, nil
 			}
-			rec.Counter("mapcache.miss").Inc()
-			return c.computeAndStore(sh, key, &req, canon, compute)
+			// A stored entry that cannot be rebuilt for this caller is
+			// poison; drop it and fall through to compute.
+			c.remove(key)
 		}
-		if fl, ok := sh.inflight[key]; ok {
-			sh.mu.Unlock()
-			rec.Counter("mapcache.coalesced").Inc()
-			<-fl.done
-			// The leader stored the entry (or failed and left nothing);
-			// loop to re-check. A leader failure leaves no entry and no
-			// flight, so the next iteration takes the leader role.
-			continue
-		}
-		fl := &flight{done: make(chan struct{})}
-		sh.inflight[key] = fl
-		sh.mu.Unlock()
-
-		res, err := c.lead(sh, key, &req, canon, compute)
-
-		sh.mu.Lock()
-		delete(sh.inflight, key)
-		sh.mu.Unlock()
-		close(fl.done)
-		return res, err
+		rec.Counter("mapcache.reject").Inc()
+		rec.Counter("mapcache.miss").Inc()
+		return c.computeAndStore(key, text, &req, compute)
 	}
-}
 
-// lead runs the miss path as the singleflight leader: disk tier first,
-// then compute-and-store.
-func (c *Cache) lead(sh *shard, key string, req *Request, canon *Canon, compute func() (Computed, error)) (Result, error) {
-	rec := c.cfg.Obs
 	if c.cfg.Dir != "" {
-		if e, rejected := c.loadDisk(key, canon); e != nil {
+		if e, rejected := c.loadDisk(key, text); e != nil {
 			// Trust gate: a disk entry is only served after the rebuilt
 			// program passes the full static verifier against the caller's
 			// graph. A poisoned-but-checksummed file fails here and is
 			// re-mapped, never trusted.
-			if res, err := c.materialize(e, req, canon, "disk"); err == nil && verifyDiskResult(&res) == nil {
-				c.insert(sh, e)
+			if res, err := c.materialize(e, &req, "disk"); err == nil && verifyDiskResult(&res) == nil {
+				c.insert(e)
 				rec.Counter("mapcache.disk_hit").Inc()
 				return res, nil
 			}
@@ -266,7 +219,7 @@ func (c *Cache) lead(sh *shard, key string, req *Request, canon *Canon, compute 
 		}
 	}
 	rec.Counter("mapcache.miss").Inc()
-	return c.computeAndStore(sh, key, req, canon, compute)
+	return c.computeAndStore(key, text, &req, compute)
 }
 
 // computeOnly runs compute without touching either tier (bypass path).
@@ -282,7 +235,7 @@ func (c *Cache) computeOnly(compute func() (Computed, error)) (Result, error) {
 	return Result{Program: prog, Image: img, Meta: meta, Source: "bypass"}, nil
 }
 
-func (c *Cache) computeAndStore(sh *shard, key string, req *Request, canon *Canon, compute func() (Computed, error)) (Result, error) {
+func (c *Cache) computeAndStore(key string, text []byte, req *Request, compute func() (Computed, error)) (Result, error) {
 	comp, err := compute()
 	if err != nil {
 		return Result{}, err
@@ -291,14 +244,8 @@ func (c *Cache) computeAndStore(sh *shard, key string, req *Request, canon *Cano
 	if err != nil {
 		return Result{}, err
 	}
-	canonImg := img
-	if !isIdentity(canon.BlockPerm) {
-		if canonImg, err = permuteImage(img, canon.BlockPerm); err != nil {
-			return Result{}, fmt.Errorf("mapcache: canonicalize image: %w", err)
-		}
-	}
-	e := &entry{key: key, canonText: canon.Text, image: canonImg, meta: meta}
-	c.insert(sh, e)
+	e := &entry{key: key, text: text, image: img, meta: meta}
+	c.insert(e)
 	c.cfg.Obs.Counter("mapcache.store").Inc()
 	if c.cfg.Dir != "" {
 		if err := c.storeDisk(e); err != nil {
@@ -342,26 +289,12 @@ func finishComputed(comp *Computed) (*asm.Program, Meta, []byte, error) {
 }
 
 // materialize rebuilds a Result for the caller's graph from a stored
-// entry: permute the canonical-order image into the caller's block order,
-// decode it, and rebuild the executable program against the caller's
-// graph. Memory-tier entries were stored by this process under a
-// byte-compared canonical text, so no re-verification runs here; the disk
-// path layers verify.CheckProgram on top (see loadDisk/lead).
-func (c *Cache) materialize(e *entry, req *Request, canon *Canon, source string) (Result, error) {
-	imgBytes := e.image
-	permuted := !isIdentity(canon.BlockPerm)
-	if permuted {
-		inv := make([]int, len(canon.BlockPerm))
-		for orig, ci := range canon.BlockPerm {
-			inv[ci] = orig
-		}
-		var err error
-		if imgBytes, err = permuteImage(e.image, inv); err != nil {
-			return Result{}, err
-		}
-	} else {
-		imgBytes = append([]byte(nil), e.image...)
-	}
+// entry: decode the image and rebuild the executable program against the
+// caller's graph. Memory-tier entries were stored by this process under a
+// byte-compared graph text, so no re-verification runs here; the disk path
+// layers verify.CheckProgram on top (see GetOrStore).
+func (c *Cache) materialize(e *entry, req *Request, source string) (Result, error) {
+	imgBytes := append([]byte(nil), e.image...)
 	img, err := asm.LoadImage(imgBytes)
 	if err != nil {
 		return Result{}, err
@@ -370,65 +303,34 @@ func (c *Cache) materialize(e *entry, req *Request, canon *Canon, source string)
 	if err != nil {
 		return Result{}, err
 	}
-	if permuted {
-		// Block reordering changed each tile's constant first-use order;
-		// re-derive the CRFs and re-encode so the program satisfies the
-		// assembler's CRF normal form (decoded instructions carry constant
-		// values, so this is an encoding-only rewrite). The serialized image
-		// is rebuilt to match.
-		if err := asm.NormalizeCRF(prog); err != nil {
-			return Result{}, err
-		}
-		if imgBytes, err = asm.SaveImage(prog); err != nil {
-			return Result{}, err
-		}
-	}
 	return Result{Program: prog, Image: imgBytes, Meta: e.meta, Hit: true, Source: source}, nil
 }
 
 // insert adds (or refreshes) an entry and evicts past capacity.
-func (c *Cache) insert(sh *shard, e *entry) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if el, ok := sh.entries[e.key]; ok {
+func (c *Cache) insert(e *entry) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.entries[e.key]; ok {
 		el.Value = e
-		sh.lru.MoveToFront(el)
+		c.lru.MoveToFront(el)
 		return
 	}
-	sh.entries[e.key] = sh.lru.PushFront(e)
-	for len(sh.entries) > c.perShard {
-		back := sh.lru.Back()
-		if back == nil {
-			break
-		}
+	c.entries[e.key] = c.lru.PushFront(e)
+	for len(c.entries) > c.cfg.Capacity {
+		back := c.lru.Back()
 		old := back.Value.(*entry)
-		sh.lru.Remove(back)
-		delete(sh.entries, old.key)
+		c.lru.Remove(back)
+		delete(c.entries, old.key)
 		c.cfg.Obs.Counter("mapcache.evict").Inc()
 	}
 }
 
 // remove drops a key from the memory tier (poisoned-entry path).
-func (c *Cache) remove(sh *shard, key string) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if el, ok := sh.entries[key]; ok {
-		sh.lru.Remove(el)
-		delete(sh.entries, key)
+func (c *Cache) remove(key string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.entries[key]; ok {
+		c.lru.Remove(el)
+		delete(c.entries, key)
 	}
-}
-
-// Keys returns the sorted in-memory keys (test support).
-func (c *Cache) Keys() []string {
-	var keys []string
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		for k := range s.entries {
-			keys = append(keys, k)
-		}
-		s.mu.Unlock()
-	}
-	sort.Strings(keys)
-	return keys
 }

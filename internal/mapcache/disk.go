@@ -16,21 +16,25 @@ import (
 // Disk-tier envelope format. All integers little-endian:
 //
 //	magic   "CGMC"                 4 bytes
-//	version u32                    (currently 1)
+//	version u32                    (currently 2)
 //	keyLen  u32, key               full cache key (collision guard)
-//	canLen  u32, canonical text    byte-compared against the caller's
-//	imgLen  u32, image             bitstream in canonical block order
+//	textLen u32, graph text        cdfg.MarshalText, byte-compared against
+//	                               the caller's graph
+//	imgLen  u32, image             bitstream in the graph's block order
 //	metaLen u32, meta JSON         Meta
 //	digest  sha256                 over every preceding byte
 //
+// Version 1 files held a canonical text and a canonically ordered image;
+// they fail the version check and are recomputed.
+//
 // The digest catches torn/corrupted files cheaply; it is NOT the trust
 // boundary. Every disk hit is additionally rebuilt against the caller's
-// graph and re-verified by internal/verify before use (see Cache.lead), so
-// an adversarially consistent file — valid digest, wrong bitstream — is
-// still rejected and re-mapped, never trusted.
+// graph and re-verified by internal/verify before use (see
+// Cache.GetOrStore), so an adversarially consistent file — valid digest,
+// wrong bitstream — is still rejected and re-mapped, never trusted.
 const (
 	diskMagic   = "CGMC"
-	diskVersion = 1
+	diskVersion = 2
 	diskSuffix  = ".mapcache"
 )
 
@@ -39,13 +43,11 @@ func (c *Cache) diskPath(key string) string {
 	return filepath.Join(c.cfg.Dir, fmt.Sprintf("%x%s", sum[:16], diskSuffix))
 }
 
-func (c *Cache) storeDisk(e *entry) error {
-	if err := os.MkdirAll(c.cfg.Dir, 0o755); err != nil {
-		return err
-	}
+// encodeEnvelope renders e in the disk-tier envelope format.
+func encodeEnvelope(e *entry) ([]byte, error) {
 	metaJSON, err := json.Marshal(e.meta)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	var buf bytes.Buffer
 	buf.WriteString(diskMagic)
@@ -53,18 +55,28 @@ func (c *Cache) storeDisk(e *entry) error {
 	wblob := func(b []byte) { w32(uint32(len(b))); buf.Write(b) }
 	w32(diskVersion)
 	wblob([]byte(e.key))
-	wblob(e.canonText)
+	wblob(e.text)
 	wblob(e.image)
 	wblob(metaJSON)
 	sum := sha256.Sum256(buf.Bytes())
 	buf.Write(sum[:])
+	return buf.Bytes(), nil
+}
 
+func (c *Cache) storeDisk(e *entry) error {
+	if err := os.MkdirAll(c.cfg.Dir, 0o755); err != nil {
+		return err
+	}
+	data, err := encodeEnvelope(e)
+	if err != nil {
+		return err
+	}
 	path := c.diskPath(e.key)
 	tmp, err := os.CreateTemp(c.cfg.Dir, "tmp-*"+diskSuffix)
 	if err != nil {
 		return err
 	}
-	if _, err := tmp.Write(buf.Bytes()); err != nil {
+	if _, err := tmp.Write(data); err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
 		return err
@@ -84,9 +96,10 @@ func (c *Cache) storeDisk(e *entry) error {
 
 // loadDisk reads and validates the disk entry for key. It returns the
 // entry on success; (nil, false) when no entry exists; (nil, true) when a
-// file exists but failed validation (corrupt, wrong key, stale canonical
-// text) — the caller counts that as a disk rejection and recomputes.
-func (c *Cache) loadDisk(key string, canon *Canon) (*entry, bool) {
+// file exists but failed validation (corrupt, old version, wrong key,
+// different graph text) — the caller counts that as a disk rejection and
+// recomputes.
+func (c *Cache) loadDisk(key string, text []byte) (*entry, bool) {
 	data, err := os.ReadFile(c.diskPath(key))
 	if err != nil {
 		return nil, false
@@ -95,7 +108,7 @@ func (c *Cache) loadDisk(key string, canon *Canon) (*entry, bool) {
 	if err != nil {
 		return nil, true
 	}
-	if e.key != key || !bytes.Equal(e.canonText, canon.Text) {
+	if e.key != key || !bytes.Equal(e.text, text) {
 		return nil, true
 	}
 	return e, true
@@ -134,7 +147,7 @@ func parseEnvelope(data []byte) (*entry, error) {
 	if err != nil {
 		return nil, err
 	}
-	canonText, err := blob()
+	text, err := blob()
 	if err != nil {
 		return nil, err
 	}
@@ -149,7 +162,7 @@ func parseEnvelope(data []byte) (*entry, error) {
 	if r.Len() != 0 {
 		return nil, fmt.Errorf("mapcache: %d trailing bytes in disk entry", r.Len())
 	}
-	e := &entry{key: string(key), canonText: canonText, image: image}
+	e := &entry{key: string(key), text: text, image: image}
 	if err := json.Unmarshal(metaJSON, &e.meta); err != nil {
 		return nil, err
 	}
@@ -183,20 +196,9 @@ func RewriteEntry(path string, mutate func(image []byte) []byte) error {
 		return err
 	}
 	e.image = mutate(e.image)
-	metaJSON, err := json.Marshal(e.meta)
+	out, err := encodeEnvelope(e)
 	if err != nil {
 		return err
 	}
-	var buf bytes.Buffer
-	buf.WriteString(diskMagic)
-	w32 := func(v uint32) { _ = binary.Write(&buf, binary.LittleEndian, v) }
-	wblob := func(b []byte) { w32(uint32(len(b))); buf.Write(b) }
-	w32(diskVersion)
-	wblob([]byte(e.key))
-	wblob(e.canonText)
-	wblob(e.image)
-	wblob(metaJSON)
-	sum := sha256.Sum256(buf.Bytes())
-	buf.Write(sum[:])
-	return os.WriteFile(path, buf.Bytes(), 0o644)
+	return os.WriteFile(path, out, 0o644)
 }

@@ -1,91 +1,82 @@
 package mapcache_test
 
 import (
-	"bytes"
-	"math/rand"
+	"crypto/sha256"
+	"encoding/binary"
+	"os"
 	"testing"
 
-	"repro/internal/cdfg"
+	"repro/internal/arch"
+	"repro/internal/core"
 	"repro/internal/kernels"
 	"repro/internal/mapcache"
+	"repro/internal/verify"
 )
 
-// FuzzCanonicalHash drives the canonicalizer with arbitrary marshaled
-// graphs and checks the properties the mapping cache's correctness rests
-// on:
-//
-//  1. stability — canonicalizing the same graph twice, or its
-//     MarshalText round-trip, yields the same hash;
-//  2. isomorphism invariance — a semantically identical relabeling
-//     (block shuffle, node renumbering, commutative-operand swaps,
-//     renames) hashes identically;
-//  3. fixpoint — the canonical text is itself canonical: unmarshaling it
-//     and canonicalizing again reproduces the same text and hash.
-//
-// The checked-in corpus (testdata/fuzz) seeds the search with every
-// benchmark kernel and a spread of generated graphs.
-func FuzzCanonicalHash(f *testing.F) {
-	for _, k := range kernels.All() {
-		g := k.Build()
-		txt, err := g.MarshalText()
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(txt, int64(1))
+// FuzzDiskEntry plants arbitrary bytes as the disk entry of a real FIR
+// request and asks a fresh cache for it. Whatever the file holds, the call
+// must not panic or fail, and must either serve a program that passes the
+// static verifier or recompute. Seeds: the valid envelope, the same
+// envelope relabeled version 1, truncations, and a flipped digest.
+func FuzzDiskEntry(f *testing.F) {
+	grid := arch.MustGrid(arch.HOM32)
+	g := kernels.FIR().Build()
+	opt := core.DefaultOptions(core.FlowCAB)
+	m, err := core.Map(g, grid, opt)
+	if err != nil {
+		f.Fatal(err)
 	}
-	for seed := int64(1); seed <= 4; seed++ {
-		g, _ := cdfg.Generate(rand.New(rand.NewSource(seed)), cdfg.DefaultGenConfig())
-		txt, err := g.MarshalText()
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(txt, seed)
+	compute := func() (mapcache.Computed, error) {
+		return mapcache.Computed{Mapping: m, Seed: opt.Seed, Backend: "heuristic"}, nil
 	}
-	f.Fuzz(func(t *testing.T, data []byte, permSeed int64) {
-		g, err := cdfg.UnmarshalText(data)
+	req := mapcache.Request{Graph: g, Grid: grid, Opt: opt}
+	dir := f.TempDir()
+	if _, err := mapcache.New(mapcache.Config{Dir: dir}).GetOrStore(req, compute); err != nil {
+		f.Fatal(err)
+	}
+	files, err := mapcache.EntryFiles(dir)
+	if err != nil || len(files) != 1 {
+		f.Fatalf("EntryFiles = %v, %v; want exactly one entry", files, err)
+	}
+	path := files[0]
+	valid, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+
+	if res, err := mapcache.New(mapcache.Config{Dir: dir}).GetOrStore(req, compute); err != nil || res.Source != "disk" {
+		f.Fatalf("the untouched entry was not served from disk: source %q, %v", res.Source, err)
+	}
+
+	f.Add(valid)
+	v1 := append([]byte(nil), valid...)
+	binary.LittleEndian.PutUint32(v1[4:8], 1)
+	sum := sha256.Sum256(v1[:len(v1)-sha256.Size])
+	copy(v1[len(v1)-sha256.Size:], sum[:])
+	f.Add(v1)
+	for _, n := range []int{0, 4, 8, 12, len(valid) / 2, len(valid) - sha256.Size, len(valid) - 1} {
+		f.Add(valid[:n])
+	}
+	flipped := append([]byte(nil), valid...)
+	flipped[len(flipped)-1] ^= 0xff
+	f.Add(flipped)
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		res, err := mapcache.New(mapcache.Config{Dir: dir}).GetOrStore(req, compute)
 		if err != nil {
-			t.Skip() // not a well-formed graph
+			t.Fatalf("GetOrStore failed on a hostile entry: %v", err)
 		}
-		c1, err := mapcache.Canonicalize(g)
-		if err != nil {
-			t.Skip()
-		}
-		// Stability across a marshal round-trip.
-		txt, err := g.MarshalText()
-		if err != nil {
-			t.Fatalf("re-marshal: %v", err)
-		}
-		g2, err := cdfg.UnmarshalText(txt)
-		if err != nil {
-			t.Fatalf("round-trip unmarshal: %v", err)
-		}
-		c2, err := mapcache.Canonicalize(g2)
-		if err != nil {
-			t.Fatalf("round-trip canonicalize: %v", err)
-		}
-		if c1.Sum != c2.Sum {
-			t.Fatalf("hash not stable across MarshalText round-trip: %x vs %x", c1.Sum, c2.Sum)
-		}
-		// Isomorphism invariance under a random relabeling.
-		pg := permuteGraph(t, g, rand.New(rand.NewSource(permSeed)))
-		c3, err := mapcache.Canonicalize(pg)
-		if err != nil {
-			t.Fatalf("canonicalize permuted graph: %v", err)
-		}
-		if c1.Sum != c3.Sum {
-			t.Fatalf("hash not invariant under relabeling (seed %d): %x vs %x", permSeed, c1.Sum, c3.Sum)
-		}
-		// Fixpoint: the canonical form canonicalizes to itself.
-		cg, err := cdfg.UnmarshalText(c1.Text)
-		if err != nil {
-			t.Fatalf("canonical text does not unmarshal: %v", err)
-		}
-		c4, err := mapcache.Canonicalize(cg)
-		if err != nil {
-			t.Fatalf("canonicalize canonical text: %v", err)
-		}
-		if !bytes.Equal(c4.Text, c1.Text) || c4.Sum != c1.Sum {
-			t.Fatalf("canonical text is not a fixpoint of canonicalization")
+		switch res.Source {
+		case "compute":
+		case "disk":
+			if r := verify.CheckProgram(res.Program); r.Err() != nil {
+				t.Fatalf("served a disk entry that fails verification: %v", r.Err())
+			}
+		default:
+			t.Fatalf("source = %q, want disk or compute", res.Source)
 		}
 	})
 }

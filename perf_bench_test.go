@@ -336,10 +336,11 @@ func benchPortfolioPruning(b *testing.B, noIncumbent bool) {
 }
 
 // BenchmarkMapCached measures the content-addressed mapping cache on the
-// heaviest kernel. cold is a full miss — canonicalize, map, assemble,
-// store — on a fresh cache every iteration; warm is the steady-state
-// memory-tier hit the cgrad repeat path is built around. The acceptance
-// bar is warm ≥ 100× faster than BenchmarkCoreMap/MatM.
+// heaviest kernel. cold is a full miss — render and hash the graph text,
+// map, assemble, store — on a fresh cache every iteration; warm is a
+// memory-tier hit of the same request: render and hash the text,
+// byte-compare it, decode the stored image and rebuild the program. The
+// acceptance bar is warm ≥ 100× faster than BenchmarkCoreMap/MatM.
 func BenchmarkMapCached(b *testing.B) {
 	k, err := kernels.ByName("MatM")
 	if err != nil {
